@@ -50,6 +50,11 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
+echo "== benchmark helper tests (perfbench) =="
+# perfbench is a package of its own (own [workspace]), so the workspace
+# `cargo test` above does not reach its tests.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

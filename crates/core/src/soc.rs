@@ -624,7 +624,7 @@ impl HulkV {
     /// On configuration mismatch or a malformed snapshot.
     pub fn restore(&mut self, snap: &Snapshot) -> SnapResult<()> {
         use hulkv_sim::snap::{get, get_arr, get_u64, restore_stats, unhex, SnapError};
-        if snap.section("config")?.to_string() != self.cfg.to_json().to_string() {
+        if *snap.section("config")? != self.cfg.to_json() {
             return Err(SnapError::msg(
                 "snapshot configuration differs from this SoC's — use HulkV::from_snapshot",
             ));

@@ -80,7 +80,7 @@ impl SparseStorage {
         let mut keys: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
+            .filter(|(_, p)| !hulkv_sim::is_zero(&p[..]))
             .map(|(&k, _)| k)
             .collect();
         keys.sort_unstable();
@@ -101,7 +101,7 @@ impl SparseStorage {
         let mut keys: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
+            .filter(|(_, p)| !hulkv_sim::is_zero(&p[..]))
             .map(|(&k, _)| k)
             .collect();
         keys.sort_unstable();

@@ -6,6 +6,13 @@
 //! observability layer emits — objects, arrays, strings, numbers, bools,
 //! null — and parses it back so round-trip tests can validate exports.
 //!
+//! Snapshot and recording headers go through the same code, and a
+//! recording's journal can run to megabytes, so both directions are linear
+//! in the text: the parser copies each run of string bytes up to the next
+//! `"` or `\` with one `push_str` (both delimiters are ASCII, so a run
+//! always ends on a char boundary of the already-valid input), and the
+//! writer emits each run that needs no escaping with one `write_str`.
+//!
 //! # Example
 //!
 //! ```
@@ -81,6 +88,7 @@ impl Json {
     /// Returns a description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -137,17 +145,25 @@ impl<T: Into<Json>> FromIterator<T> for Json {
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole UTF-8 sequences.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1F) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -191,6 +207,7 @@ impl fmt::Display for Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -241,13 +258,21 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next delimiter in one go.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // The run stopped at a backslash.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -272,14 +297,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -387,6 +404,56 @@ mod tests {
         let s = "a\"b\\c\nd\te\u{1}f — π";
         let v = Json::Str(s.into());
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses() {
+        // Linearity guard: the old per-character re-validation of the rest
+        // of the input made this input take hours.
+        let body: String = "ab\u{e9}\u{1F600}".repeat(400_000);
+        let text = format!("[\"{body}\",\"x\\\"y\"]");
+        let v = Json::parse(&text).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(body.as_str()));
+        assert_eq!(items[1].as_str(), Some("x\"y"));
+    }
+
+    #[test]
+    fn multibyte_runs_next_to_escapes() {
+        let cases = [
+            (r#""é\"π""#, "é\"π"),
+            (r#""日本\\語""#, "日本\\語"),
+            (r#""\u00e9€\u0041😀""#, "é€A😀"),
+            (r#""😀\n\"""#, "😀\n\""),
+            (r#""\"\\\/ü""#, "\"\\/ü"),
+            (r#""""#, ""),
+        ];
+        for (text, want) in cases {
+            assert_eq!(Json::parse(text), Ok(Json::Str(want.into())), "{text}");
+        }
+        // And the writer emits exactly what the parser reads back.
+        let s = "π\u{0}\u{1f}\"€\\\t😀";
+        assert_eq!(
+            Json::Str(s.into()).to_string(),
+            "\"π\\u0000\\u001f\\\"€\\\\\\t😀\""
+        );
+        assert_eq!(
+            Json::parse(&Json::Str(s.into()).to_string()).unwrap(),
+            Json::Str(s.into())
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        assert_eq!(Json::parse("\"abc"), Err("unterminated string".into()));
+        assert_eq!(Json::parse("\"é😀"), Err("unterminated string".into()));
+        assert_eq!(Json::parse("\""), Err("unterminated string".into()));
+        // Mid-escape: EOF right after the backslash, and inside \uXXXX.
+        assert_eq!(Json::parse("\"ab\\"), Err("bad escape at byte 4".into()));
+        assert_eq!(Json::parse("\"\\u00"), Err("truncated \\u escape".into()));
+        assert_eq!(Json::parse("\"\\u00e9"), Err("unterminated string".into()));
+        assert!(Json::parse("\"\\q\"").is_err());
+        assert!(Json::parse("\"\\ud800\"").is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use clock::{convert_freq, ClockDomain};
 pub use cycles::{Cycles, Freq};
-pub use digest::Fnv64;
+pub use digest::{is_zero, Fnv64};
 pub use error::SimError;
 pub use json::Json;
 pub use metrics::{MetricsSnapshot, METRICS_SCHEMA_VERSION};

@@ -228,7 +228,7 @@ impl Snapshot {
         let off = self.blob.len();
         let mut count = 0u64;
         for (idx, page) in data.chunks(SNAP_PAGE_SIZE).enumerate() {
-            if page.iter().all(|&b| b == 0) {
+            if crate::is_zero(page) {
                 continue;
             }
             self.blob.extend_from_slice(&(idx as u64).to_le_bytes());
@@ -359,7 +359,11 @@ impl Snapshot {
         if declared as u32 != format {
             return Err(SnapError::msg("header/container format disagree"));
         }
-        let Some(Json::Obj(sections)) = doc.get("sections").cloned() else {
+        let sections = match doc {
+            Json::Obj(mut top) => top.remove("sections"),
+            _ => None,
+        };
+        let Some(Json::Obj(sections)) = sections else {
             return Err(SnapError::msg("sections field missing or not an object"));
         };
         let blen_off = 20 + hlen;
@@ -369,11 +373,6 @@ impl Snapshot {
             return Err(SnapError::msg("trailing bytes after blob"));
         }
         Ok(Snapshot { sections, blob })
-    }
-
-    /// Serialized size in bytes (header + blob), for reporting.
-    pub fn byte_len(&self) -> usize {
-        self.to_bytes().len()
     }
 }
 
